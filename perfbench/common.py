@@ -2,11 +2,12 @@
 
 Importing this module puts the checkout's ``src/`` on ``sys.path`` so
 the benchmark always measures the ``repro`` package of the checkout it
-sits in.  It starts nothing and touches no file.
+sits in.  It starts nothing and writes no file.
 """
 
 from __future__ import annotations
 
+import json
 import math
 import sys
 from pathlib import Path
@@ -24,6 +25,13 @@ WORK_DIR = ROOT / ".perfbench-work"
 #: One maintenance batch never holds more ops than this; each step's ops
 #: are submitted as one batch (see ``worker.submit_batch``).
 BATCH_SIZE = 64
+
+
+def metric_units(kind: str) -> dict[str, str]:
+    """``name -> unit`` of ``BENCHMARK.json``'s ``end_to_end`` or
+    ``per_layer`` list, in its order."""
+    with open(ROOT / "BENCHMARK.json") as f:
+        return {m["name"]: m["unit"] for m in json.load(f)[kind]}
 
 
 class GateError(AssertionError):
@@ -52,7 +60,7 @@ def median(values) -> float:
 def make_graph(spec: dict):
     """The workload's input graph: the WKT stand-in at the dataset's
     canonical seed, so set-up cost and index size do not swing with
-    ``--seed``; the seed draws the ops and queries."""
+    ``--seed``; the seed draws the queries (``plan.py``)."""
     from repro.graph.datasets import DATASETS
 
     return DATASETS[spec["kind"].upper()].build(spec["profile"], 7)

@@ -10,7 +10,7 @@ Workloads (one client each; see ``BENCHMARK.json`` and
 * ``read_mostly`` -- WKT small on ``Cluster(replicas=1)``; scalar
   ``sccnt``/``spcnt`` reads and whole-graph ``count_many`` screens on the
   primary, a few reads routed to the replica once it reports the epoch,
-  and a 4-op insert batch per step;
+  and a 4-op insert batch every 20th step;
 * ``churn``       -- WKT small; a fixed cycle of low-impact deletions
   (incremental repair), their re-insertion, and a mixed batch that takes
   the rebuild fallback.
@@ -23,22 +23,25 @@ Second-scale operations (set-up, ``recover()``) are sampled in every
 process and reported as the median.
 
 Every workload runs durable with ``wal_fsync="always"``.  Before any
-number is printed the run checks, outside the timed sections: sampled
-``sccnt`` answers against ``bfs_cycle_count`` after every step and at
-the end (routed answers too); the final state against a reference
-computed without the engine (the serial replay of the acknowledged ops,
-or a from-scratch build when the last batch rebuilt); every
+number is printed the run checks, outside the timed sections: after
+every batch, that the engine's graph equals the input graph with the
+planned ops applied, and sampled ``sccnt`` answers against
+``bfs_cycle_count`` on that graph (and at the end, routed answers too);
+the final state against a reference computed without the engine (the
+serial replay of the planned ops, or a from-scratch build of the
+expected graph when the last batch rebuilt); every
 ``recover()`` of a crash image against the live state; for
 ``read_mostly`` a verification pass with per-epoch digests
 (``verify_replicas``) before the timed passes, which run with digests
-off; and that every step ran as one batch on its planned maintenance
-path.  A failed check exits 1 and prints no result.
+off; and that every step's ops ran as one batch on its planned
+maintenance path.  A failed check exits 1 and prints no result.
 
 ``--trace 0`` prints every end-to-end metric, ``--trace 1`` runs the
 same plan with spans around the layers' public entry points and prints
-every per-layer metric.  The last stdout line is the JSON result; the
-line before it is the failure accounting (each count as a share of
-attempted).
+every per-layer metric; the names and units are those listed in
+``BENCHMARK.json``.  The last stdout line is the JSON result; the line
+before it is the failure accounting (each count as a share of
+attempted) and the share of the loop the writes took.
 """
 
 from __future__ import annotations
@@ -53,22 +56,6 @@ import time
 
 import common
 from common import GateError, median, percentile
-
-#: end_to_end metric name -> unit, in BENCHMARK.json order
-END_TO_END = {
-    "setup_s": "s",
-    "sccnt_p50_us": "us",
-    "sccnt_p99_us": "us",
-    "spcnt_p50_us": "us",
-    "screen_first_ms": "ms",
-    "screen_warm_ms": "ms",
-    "visible_p50_ms": "ms",
-    "update_ops_per_s": "1/s",
-    "recovery_s": "s",
-    "index_bytes": "bytes",
-    "write_bytes_per_op": "bytes",
-    "peak_rss_mb": "MB",
-}
 
 #: A run must end within this many seconds, set-up and checks included.
 RUN_BUDGET_S = 170.0
@@ -128,10 +115,8 @@ def end_to_end(samples: list[dict]) -> dict:
 
 
 def per_layer(samples: list[dict]) -> dict:
-    from layers import PER_LAYER
-
     return {name: median(s["layers"][name] for s in samples)
-            for name in PER_LAYER}
+            for name in samples[0]["layers"]}
 
 
 def accounting(samples: list[dict]) -> tuple[dict, int, int]:
@@ -178,11 +163,14 @@ def main(argv=None) -> int:
         return _fail(str(exc))
     report, attempted, failed = accounting(samples)
     metrics = (per_layer(samples) if args.trace else end_to_end(samples))
-    if args.trace:
-        from layers import PER_LAYER as units
-    else:
-        units = END_TO_END
-    print(json.dumps({"accounting": report}))
+    units = common.metric_units("per_layer" if args.trace else "end_to_end")
+    if set(metrics) != set(units):
+        return _fail("measured metrics differ from BENCHMARK.json: "
+                     f"{sorted(set(metrics) ^ set(units))}")
+    print(json.dumps({
+        "accounting": report,
+        "write_share": median(s["write_share"] for s in samples),
+    }))
     print(json.dumps({
         "correct": True,
         "attempted": attempted,

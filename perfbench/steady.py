@@ -2,13 +2,10 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/steady.py [--runs 10] [--seconds N] \\
-        [--workloads read_mostly churn] [--first-seed 1] \\
-        [--out perfbench/steadiness.json]
+    python3 perfbench/steady.py [--out perfbench/steadiness.json]
 
-``--seconds`` defaults to ``run_seconds`` of ``BENCHMARK.json``.
-
-Each run uses the next seed.  For every workload and metric it reports
+It runs every workload with seeds 1-10, each for ``run_seconds`` of
+``BENCHMARK.json``.  For every workload and metric it reports
 the median, the quartiles (``statistics.quantiles(values, n=4)``), the
 min and max, and ``spread`` = (q3 - q1) / median.  The bounds in
 ``BENCHMARK.json`` are set from this output, which is committed next to
@@ -28,6 +25,8 @@ import time
 
 import common
 from plan import WORKLOADS
+
+SEEDS = range(1, 11)
 
 
 def one_run(workload: str, seed: int, seconds: float) -> dict:
@@ -55,21 +54,14 @@ def summarize(values: list[float]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument(
-        "--seconds", type=float,
-        default=json.loads((common.ROOT / "BENCHMARK.json").read_text())[
-            "run_seconds"])
-    parser.add_argument("--workloads", nargs="+", default=list(WORKLOADS),
-                        choices=WORKLOADS)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    seconds = json.loads(
+        (common.ROOT / "BENCHMARK.json").read_text())["run_seconds"]
     report = {
-        "runs": args.runs,
-        "seconds": args.seconds,
-        "seeds": list(range(args.first_seed,
-                            args.first_seed + args.runs)),
+        "runs": len(SEEDS),
+        "seconds": seconds,
+        "seeds": list(SEEDS),
         "environment": {
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
@@ -77,9 +69,8 @@ def main(argv=None) -> int:
         },
         "workloads": {},
     }
-    for workload in args.workloads:
-        runs = [one_run(workload, seed, args.seconds)
-                for seed in report["seeds"]]
+    for workload in WORKLOADS:
+        runs = [one_run(workload, seed, seconds) for seed in SEEDS]
         metrics = {
             name: summarize([r["metrics"][name]["value"] for r in runs])
             for name in runs[0]["metrics"]

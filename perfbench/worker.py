@@ -9,10 +9,15 @@ closed loop with one client, copies the data dir as a crash image after
 the last acknowledged flush, stops the engine, recovers the image, checks
 every gate, and writes its raw samples to ``OUT.json``.
 
-There is one client thread.  Each step submits its ops as one batch and
-blocks in ``flush()``; reads run only after ``flush()`` returned *and*
-the engine's writer thread went idle (its checkpoint, if one was due,
-has finished), so no timed read overlaps a busy writer.
+There is one client thread.  A step with ops submits them as one batch
+and blocks in ``flush()``; reads run only after ``flush()`` returned
+*and* the engine's writer thread went idle (its checkpoint, if one was
+due, has finished), so no timed read overlaps a busy writer.
+
+The gates check the engine against state built without it: the process
+applies every planned op to its own copy of the input graph, and the
+engine's graph must equal that copy after every batch; the BFS oracle
+and the final-state reference run on that copy.
 """
 
 from __future__ import annotations
@@ -111,6 +116,8 @@ class Sample:
 
         plan = self.plan
         graph = common.make_graph(plan["graph"])  # inputs in memory
+        #: the graph the acknowledged ops must leave (never the engine's)
+        self.expected = graph.copy()
         self.data_dir = self.workdir / "data"
         config = ServeConfig(
             batch_size=common.BATCH_SIZE,
@@ -145,13 +152,19 @@ class Sample:
             if t.name == "repro-serve-writer"
         )
         wait_idle(self.writer_tid)
+        self.check_graph()
         # The serial-replay oracle starts from this state (untimed).
         self.initial = self.engine.counter.to_bytes()
 
     # ------------------------------------------------------------------
-    def write(self, step: dict) -> None:
+    def write(self, step: dict) -> bool:
+        """Submit the step's batch, if it has one, and wait until it is
+        visible and the writer is idle.  Returns whether a new epoch was
+        published."""
         engine = self.engine
         ops = [tuple(op) for op in step["ops"]]
+        if not ops:
+            return False
         before = engine.stats()
         w0 = wchar()
         with self.span("batch", root=True):
@@ -162,6 +175,7 @@ class Sample:
             snap = engine.flush(timeout=120)
             t1 = now()
         wait_idle(self.writer_tid)
+        self.write_busy_s += now() - t0
         self.write_bytes += wchar() - w0
         self.out["submit_us"].append((t_sub - t0) * 1e6 / len(ops))
         self.out["visible_ms"].append((t1 - t0) * 1e3)
@@ -185,19 +199,35 @@ class Sample:
                 time.sleep(0.001)
             t2 = now()
             self.out["replica_visible_ms"].append((t2 - t0) * 1e3)
+        for kind, tail, head in ops:
+            if kind == "insert":
+                self.expected.add_edge(tail, head)
+            else:
+                self.expected.remove_edge(tail, head)
+        return True
 
-    def read(self, step: dict) -> None:
+    def check_graph(self) -> None:
+        """Gate: the engine's graph holds exactly the planned edges."""
+        graph, want = self.engine.counter.graph, self.expected
+        if graph.n != want.n or set(graph.edges()) != set(want.edges()):
+            raise GateError("the engine's graph differs from the input "
+                            "graph with the acknowledged ops applied")
+
+    def read(self, step: dict, fresh: bool) -> None:
+        """The step's reads; ``fresh`` when the step published an epoch,
+        whose first screen is then timed as ``screen_first_ms``."""
         snap = self.engine.snapshot()
-        if self.tracer is not None and self.prev_snap is not None:
+        if fresh and self.tracer is not None and self.prev_snap is not None:
             self.out["dirty"].append(_dirty(self.prev_snap, snap))
         self.prev_snap = snap
         everyone = self.everyone
-        for key in ("screen_first_ms", "screen_warm_ms"):
+        keys = ("screen_first_ms", "screen_warm_ms")
+        for key in keys if fresh else keys[1:]:
             with self.span(key, root=True):
                 t0 = now()
                 snap.count_many(everyone)
                 self.out[key].append((now() - t0) * 1e3)
-        self.reads_attempted += 2
+            self.reads_attempted += 1
         if self.tracer is not None:
             self.tracer.uninstall()
             self._paired_reads(snap, step)
@@ -272,20 +302,31 @@ class Sample:
         self.prev_snap = None
         self.ops = 0
         self.write_s = 0.0
+        self.write_busy_s = 0.0
         self.write_bytes = 0
         self.rebuilds = 0
         self.checked = 0
+        check_s = 0.0
         dur0 = engine.durability_stats()
         cpu0 = (proc_cpu_s(self.replica_pid)
                 if self.cluster is not None else 0.0)
+        t_loop = now()
         for step in self.sub["steps"]:
-            self.write(step)
+            fresh = self.write(step)
             try:
-                self.read(step)
+                self.read(step, fresh)
             except ReproError:
                 self.reads_raised += 1
-            self.checked += check_sccnt(engine.snapshot(),
-                                        engine.counter.graph, step["check"])
+            if fresh:
+                t0 = now()
+                self.check_graph()
+                self.checked += check_sccnt(engine.snapshot(), self.expected,
+                                            step["check"])
+                check_s += now() - t0
+        # Share of the loop, gates excluded, spent from a batch's submit
+        # until the writer is idle again (checkpoints included).
+        self.out["loop_s"] = now() - t_loop - check_s
+        self.out["write_share"] = self.write_busy_s / self.out["loop_s"]
         self.finish(dur0, cpu0)
         return self.out
 
@@ -306,7 +347,8 @@ class Sample:
         shutil.copytree(self.data_dir, crash)
         live = engine.counter.to_bytes()
         answers = snap.count_many(self.everyone)
-        graph = engine.counter.graph
+        self.check_graph()
+        graph = self.expected
         checked = check_sccnt(snap, graph, self.sub["oracle"])
         if self.cluster is not None:
             checked += check_sccnt(self.cluster.router, graph,
@@ -363,7 +405,8 @@ class Sample:
         ``repro.service.serial_replay`` does (that rebuilds the initial
         index; this starts from the bytes saved after set-up).  A
         sub-plan that ends on a rebuild batch is checked against a
-        from-scratch build of the final graph at the same hub order:
+        from-scratch build, at the same hub order, of the input graph
+        with every planned op applied:
         per-edge maintenance under the default "redundancy" strategy
         keeps dominated entries that a rebuild drops, so only the
         answers of a serial replay would match, while labels are a pure
@@ -374,11 +417,11 @@ class Sample:
         from repro.core.counter import ShortestCycleCounter
         from repro.core.csc import CSCIndex
 
-        steps = self.sub["steps"]
-        counter = self.engine.counter
+        steps = [s for s in self.sub["steps"] if s["ops"]]
         if steps[-1]["path"] == "rebuild":
             ref = ShortestCycleCounter(
-                CSCIndex.build(counter.graph.copy(), counter.index.order),
+                CSCIndex.build(self.expected.copy(),
+                               self.engine.counter.index.order),
                 strategy)
         else:
             if any(s["path"] != "insert" for s in steps):
