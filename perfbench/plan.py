@@ -280,7 +280,9 @@ def _churn_steps(rng, ops_rng, pricer, graph, cycles):
         mixed = [("delete", a, b) for a, b in dels] + adds
         for ops, path in ((low, "repair"), (reinsert, "insert"),
                           (mixed, "rebuild")):
-            verts, pairs = _reads(rng, n, 300, 150)
+            # Enough sccnt calls that each vertex is drawn a dozen times
+            # a process, for the per-vertex medians of sccnt_p99_us.
+            verts, pairs = _reads(rng, n, 2000, 150)
             steps.append({"ops": [list(op) for op in ops], "path": path,
                           "sccnt": verts, "spcnt": pairs,
                           "check": rng.sample(range(n), CHECKS_PER_STEP)})
