@@ -1,10 +1,10 @@
 """Multi-worker index construction: optimistic waves, exact commits.
 
-The serial builders run one pruned counting BFS pair per hub, in rank
-order, and every BFS reads only labels owned by strictly higher-ranked
-hubs.  This module parallelizes that loop across worker *processes*
-while keeping the result **bit-identical** to the serial build for any
-worker count:
+The serial build (``workers == 1``) runs one pruned counting BFS pair
+per hub, in rank order, and every BFS reads only labels owned by
+strictly higher-ranked hubs.  This module parallelizes that loop
+across worker *processes* while keeping the result **bit-identical**
+to the serial build for any worker count:
 
 1. The master runs a short **serial prefix** (the top-ranked hubs —
    their BFS trees blanket the graph and would conflict constantly).
@@ -60,14 +60,10 @@ import threading
 from dataclasses import dataclass, field
 
 from repro.build.waves import WavePlan, plan_waves
-from repro.build.worker import (
-    HubDelta,
-    side_kernels,
-    tables_to_rpls,
-    worker_main,
-)
+from repro.build.worker import HubDelta, SideDelta, tables_to_rpls, worker_main
 from repro.errors import ConfigurationError, BuildError, WorkerCrashError
 from repro.labeling.labelstore import UNREACHED
+from repro.labeling.pruned_bfs import check_kind, construct_side
 
 __all__ = [
     "ENV_WORKERS",
@@ -244,20 +240,20 @@ class BuildPool:
 
     def run_repairs(
         self, chunks: list[list[tuple[bool, int, int]]]
-    ) -> dict[tuple[int, bool], tuple[list[Entry], list[int]]]:
+    ) -> dict[tuple[int, bool], tuple[list[int], list[Entry], list[int]]]:
         """Dispatch per-worker ``(forward, rank, hub)`` repair chunks;
-        collect speculative ``(entries, visited)`` keyed by
+        collect speculative ``(owners, entries, visited)`` keyed by
         ``(rank, forward)``."""
         busy = []
         for i, chunk in enumerate(chunks):
             if chunk:
                 self._send(i, ("repair", chunk))
                 busy.append(i)
-        results: dict[tuple[int, bool], tuple[list[Entry], list[int]]] = {}
+        results = {}
         for i in busy:
             reply = self._recv(i)
-            for ph, forward, entries, visited in reply[1]:
-                results[(ph, forward)] = (entries, visited)
+            for ph, forward, result in reply[1]:
+                results[(ph, forward)] = result
         return results
 
     def shutdown(self) -> None:
@@ -317,16 +313,15 @@ def _commit(
     tables: list[list[Entry]],
     delta: list[list[Entry]],
     canon_written: set[int],
-    ph: int,
-    entries: list[Entry],
+    side: SideDelta,
 ) -> None:
-    """Append one hub side's entries (rank order keeps lists sorted),
-    mirror them into the pending broadcast delta, and track this wave's
-    canonical writes for the conflict check."""
-    for w, d, c, f in entries:
-        tables[w].append((ph, d, c, f))
-        delta[w].append((ph, d, c, f))
-        if f:
+    """Append one wave hub side's entries (rank order keeps lists
+    sorted), mirror them into the next broadcast delta, and track this
+    wave's canonical writes for the conflict check."""
+    for w, entry in zip(*side):
+        tables[w].append(entry)
+        delta[w].append(entry)
+        if entry[3]:
             canon_written.add(w)
 
 
@@ -356,17 +351,16 @@ def build_label_tables(
     """Construct ``(label_in, label_out)`` for ``graph`` under ``order``
     with a pool of ``workers`` processes.
 
-    Bit-identical to the serial builder of the given ``kind`` for any
-    worker count (including 1, which skips the pool entirely and runs
-    the same kernels in rank order on the master).
+    ``workers == 1`` is the serial build: every hub runs on the master
+    in rank order and the pool is never touched.  Any other worker
+    count gives the same tables, bit for bit.
     """
+    check_kind(kind)
     n = graph.n
-    plan: WavePlan = plan_waves(n, workers, serial_prefix, wave_base,
-                                wave_max)
     if workers == 1:
-        # One worker is just the serial build; no pool, one "wave".
         plan = WavePlan(n=n, serial_prefix=n, waves=[])
-    forward, backward = side_kernels(kind)
+    else:
+        plan = plan_waves(n, workers, serial_prefix, wave_base, wave_max)
     stats = BuildStats(
         kind=kind,
         workers=workers,
@@ -377,22 +371,24 @@ def build_label_tables(
     )
     label_in: list[list[Entry]] = [[] for _ in range(n)]
     label_out: list[list[Entry]] = [[] for _ in range(n)]
-    delta_in: list[list[Entry]] = [[] for _ in range(n)]
-    delta_out: list[list[Entry]] = [[] for _ in range(n)]
     dist = [UNREACHED] * n
     cnt = [0] * n
-    no_canon: set[int] = set()  # prefix commits need no conflict tracking
+
+    def run(forward: bool, h: int, p: int) -> SideDelta:
+        owners, entries, _ = construct_side(graph, pos, kind, forward, h, p,
+                                            label_in, label_out, dist, cnt)
+        return owners, entries
 
     for p in range(plan.serial_prefix):
         h = order[p]
-        entries, _ = forward(graph, h, p, pos, label_in, label_out,
-                             dist, cnt)
-        _commit(label_in, delta_in, no_canon, p, entries)
-        entries, _ = backward(graph, h, p, pos, label_in, label_out,
-                              dist, cnt)
-        _commit(label_out, delta_out, no_canon, p, entries)
+        for forward, tables in ((True, label_in), (False, label_out)):
+            for w, entry in zip(*run(forward, h, p)):
+                tables[w].append(entry)
 
     if plan.waves:
+        # The first broadcast ships the whole serial prefix; later ones
+        # only what the previous wave committed.
+        delta_in, delta_out = label_in, label_out
         # One pooled build at a time: interleaved pipe traffic from a
         # second thread would consume this build's replies.
         with _POOL_LOCK:
@@ -421,14 +417,12 @@ def build_label_tables(
                     bwd_ok = h not in canon_in
                     if not fwd_ok:
                         stats.conflicts += 1
-                        fwd_e, _ = forward(graph, h, p, pos, label_in,
-                                           label_out, dist, cnt)
-                    _commit(label_in, delta_in, canon_in, p, fwd_e)
+                        fwd_e = run(True, h, p)
+                    _commit(label_in, delta_in, canon_in, fwd_e)
                     if not bwd_ok:
                         stats.conflicts += 1
-                        bwd_e, _ = backward(graph, h, p, pos, label_in,
-                                            label_out, dist, cnt)
-                    _commit(label_out, delta_out, canon_out, p, bwd_e)
+                        bwd_e = run(False, h, p)
+                    _commit(label_out, delta_out, canon_out, bwd_e)
 
     stats.entries = (
         sum(len(es) for es in label_in)

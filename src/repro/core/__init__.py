@@ -9,7 +9,7 @@ from repro.core.batch import (
 )
 from repro.core.csc import CSCIndex
 from repro.core.counter import IndexStats, ShortestCycleCounter
-from repro.core.labelstore import LabelStore
+from repro.labeling.labelstore import LabelStore
 from repro.core.maintenance import (
     STRATEGIES,
     UpdateStats,

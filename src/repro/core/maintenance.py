@@ -51,6 +51,19 @@ and is what makes deletions one-to-two orders slower than insertions
 the affected hubs, which is required for correctness: a deletion can raise a
 true distance up to a stale entry's value, at which point that entry would
 otherwise re-enter query minima with a rotten count.
+
+Both index kinds
+----------------
+The resumed pass, the repair BFS, Algorithm 7's entry update, the
+fingerprint commit and the hop conditions serve HP-SPC as well
+(:mod:`repro.labeling.dynamic` supplies only its seeds and CLEAN-LABEL).
+What CSC's couple skipping changes — level step 2, the couple-shifted
+``Lout(h_in)``, the backward side's ``>=`` rank test, seeds and couple
+prune — comes from the index kind's
+:class:`~repro.labeling.pruned_bfs.Side`, the same data the
+construction kernel runs on.  The repair BFS keeps its own loop: its
+pruning query probes the packed store's hub maps, where the
+construction kernel scans the tuple lists a build appends to.
 """
 
 from __future__ import annotations
@@ -59,15 +72,17 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.csc import CSCIndex
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EdgeNotFoundError
 from repro.graph.traversal import INF, bfs_distances
 from repro.labeling.labelstore import UNREACHED, LabelStore
+from repro.labeling.pruned_bfs import construction_seeds, side_plan
 
 __all__ = [
     "UpdateStats",
     "insert_edge",
     "delete_edge",
     "deletion_affected_hubs",
+    "hop_affected_hubs",
     "STRATEGIES",
 ]
 
@@ -104,7 +119,7 @@ def _check_strategy(strategy: str) -> None:
         )
 
 
-def _canonical_shift_map(
+def _canonical_map(
     store: LabelStore, v: int, limit_hub: int, shift: int
 ) -> dict[int, int]:
     """``{hub: dist + shift}`` over ``v``'s canonical entries whose hub
@@ -115,6 +130,16 @@ def _canonical_shift_map(
         for h, dc in maps[v].items()
         if h < limit_hub and dc[2]
     }
+
+
+def _hub_sides(index, forward: bool):
+    """``(target store, its inverted index, hub-side store, neighbour
+    function)`` of one BFS direction — the same for both index kinds."""
+    inv_in, inv_out = index.ensure_inverted()
+    graph = index.graph
+    if forward:
+        return index.store_in, inv_in, index.store_out, graph.out_neighbors
+    return index.store_out, inv_out, index.store_in, graph.in_neighbors
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +157,6 @@ def insert_edge(
     """
     _check_strategy(strategy)
     index.graph.add_edge(a, b)
-    index.ensure_inverted()
-    stats = UpdateStats("insert", (a, b), strategy)
     pos = index.pos
     pa, pb = pos[a], pos[b]
     maps_in = index.store_in.ensure_maps()
@@ -151,62 +174,84 @@ def insert_edge(
         if q != pb and q <= pa:
             # sd(b_in, q_in) = d + 1; reverse BFS starts at a_out.
             backward_seeds[q] = (dc[0] + 2, dc[1])
+    return resume_passes(
+        index, a, b, forward_seeds, backward_seeds, strategy, _clean_vertex
+    )
 
-    # Hub-side full-map buffers, reused across every hub of this update.
+
+def resume_passes(
+    index,
+    a: int,
+    b: int,
+    forward_seeds: dict[int, tuple[int, int]],
+    backward_seeds: dict[int, tuple[int, int]],
+    strategy: str,
+    clean_label,
+) -> UpdateStats:
+    """Run INCCNT's resumed passes for the inserted edge ``(a, b)``:
+    per affected hub in descending rank, the forward pass from ``b``
+    and the backward pass from ``a``, each seeded with ``(dist,
+    count)`` from the hub's label (Theorem V.1).  Shared by both index
+    kinds; ``clean_label`` is the kind's CLEAN-LABEL, run only under
+    the minimality strategy."""
+    clean = clean_label if strategy == "minimality" else None
+    index.ensure_inverted()
+    stats = UpdateStats("insert", (a, b), strategy)
+    # Hub-side full-map buffer, reused across every hub of this update.
     full_buf: dict[int, int] = {}
     for q in sorted(set(forward_seeds) | set(backward_seeds)):
         stats.hubs_processed += 1
         seed = forward_seeds.get(q)
         if seed is not None:
-            _forward_pass(
-                index, q, b, seed[0], seed[1], strategy, stats, full_buf
-            )
+            _resumed_pass(index, q, True, b, seed, clean, stats, full_buf)
         seed = backward_seeds.get(q)
         if seed is not None:
-            _backward_pass(
-                index, q, a, seed[0], seed[1], strategy, stats, full_buf
-            )
+            _resumed_pass(index, q, False, a, seed, clean, stats, full_buf)
     return stats
 
 
-def _forward_pass(
-    index: CSCIndex,
+def _resumed_pass(
+    index,
     q: int,
+    forward: bool,
     start: int,
-    d0: int,
-    c0: int,
-    strategy: str,
+    seed: tuple[int, int],
+    clean,
     stats: UpdateStats,
-    out_full: dict[int, int],
+    full: dict[int, int],
 ) -> None:
-    """Algorithm 6 (FORWARD-PASS): update in-labels below hub ``q``."""
-    graph = index.graph
+    """Algorithm 6 (FORWARD-PASS, or its mirror BACKWARD-PASS): a
+    counting BFS resumed from ``start`` below hub ``q``, updating the
+    target side's labels per Algorithm 7."""
     pos = index.pos
-    store_in = index.store_in
     hub_vertex = index.order[q]
-    # Full and canonical views of the derived Lout(q_in); the full map
-    # fills a buffer reused across the whole insert.
-    out_full.clear()
-    out_full[q] = 0
-    for q2, dc in index.store_out.ensure_maps()[hub_vertex].items():
+    side = side_plan(index.KIND, forward, hub_vertex, q)
+    store, inv, hub_store, neighbors = _hub_sides(index, forward)
+    # Full and canonical views of the hub side (for CSC's forward side
+    # the derived Lout(q_in): couple-shifted, the hub itself at 0); the
+    # full map fills a buffer reused across the whole insert.
+    full.clear()
+    full[q] = 0
+    for q2, dc in hub_store.ensure_maps()[hub_vertex].items():
         if q2 != q:
-            out_full[q2] = dc[0] + 1
-    out_canon = _canonical_shift_map(index.store_out, hub_vertex, q, 1)
+            full[q2] = dc[0] + side.shift
+    canon = _canonical_map(hub_store, hub_vertex, q, side.shift)
+    bound, prune_at, step = side.bound, side.prune_at, side.step
 
-    maps_in = store_in.ensure_maps()
-    full_items = list(out_full.items())
-    dist: dict[int, int] = {start: d0}
-    cnt: dict[int, int] = {start: c0}
+    maps = store.ensure_maps()
+    full_items = list(full.items())
+    dist: dict[int, int] = {start: seed[0]}
+    cnt: dict[int, int] = {start: seed[1]}
     queue: deque[int] = deque((start,))
     while queue:
         w = queue.popleft()
         d_w = dist[w]
         stats.vertices_visited += 1
-        # Full-index pruning query (Algorithm 6): every hub of the derived
-        # Lout(q_in) ranks at or above q, so probing w's full map against
+        # Full-index pruning query (Algorithm 6): every hub of the hub
+        # side ranks at or above q, so probing w's full map against
         # those hubs covers exactly the seed's <=q label prefix scan.
         d_query = UNREACHED
-        get = maps_in[w].get
+        get = maps[w].get
         for h2, od in full_items:
             t = get(h2)
             if t is not None:
@@ -216,71 +261,15 @@ def _forward_pass(
         if d_w > d_query:
             continue  # Case 1: not on a new shortest path
         _update_entry(
-            index, store_in, index._inv_in, w, q, d_w, cnt[w],
-            out_canon, forward=True, strategy=strategy, stats=stats,
+            index, store, inv, w, q, d_w, cnt[w], canon, forward, clean,
+            stats,
         )
-        d_next = d_w + 2
-        c_w = cnt[w]
-        for u in graph.out_neighbors(w):
-            if pos[u] > q:
-                d_u = dist.get(u)
-                if d_u is None:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                elif d_u == d_next:
-                    cnt[u] += c_w
-
-
-def _backward_pass(
-    index: CSCIndex,
-    q: int,
-    start: int,
-    d0: int,
-    c0: int,
-    strategy: str,
-    stats: UpdateStats,
-    in_full: dict[int, int],
-) -> None:
-    """BACKWARD-PASS: update out-labels below hub ``q`` (reverse BFS)."""
-    graph = index.graph
-    pos = index.pos
-    store_out = index.store_out
-    hub_vertex = index.order[q]
-    in_full.clear()
-    for q2, dc in index.store_in.ensure_maps()[hub_vertex].items():
-        in_full[q2] = dc[0]
-    in_canon = _canonical_shift_map(index.store_in, hub_vertex, q, 0)
-
-    maps_out = store_out.ensure_maps()
-    full_items = list(in_full.items())
-    dist: dict[int, int] = {start: d0}
-    cnt: dict[int, int] = {start: c0}
-    queue: deque[int] = deque((start,))
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        stats.vertices_visited += 1
-        d_query = UNREACHED
-        get = maps_out[w].get
-        for h2, od in full_items:
-            t = get(h2)
-            if t is not None:
-                d2 = od + t[0]
-                if d2 < d_query:
-                    d_query = d2
-        if d_w > d_query:
-            continue
-        _update_entry(
-            index, store_out, index._inv_out, w, q, d_w, cnt[w],
-            in_canon, forward=False, strategy=strategy, stats=stats,
-        )
-        if w == hub_vertex:
+        if w == prune_at:
             continue  # couple-cycle: cycle entry updated, prune
-        d_next = d_w + 2
+        d_next = d_w + step
         c_w = cnt[w]
-        for u in graph.in_neighbors(w):
-            if pos[u] >= q:
+        for u in neighbors(w):
+            if pos[u] > bound:
                 d_u = dist.get(u)
                 if d_u is None:
                     dist[u] = d_next
@@ -291,16 +280,16 @@ def _backward_pass(
 
 
 def _update_entry(
-    index: CSCIndex,
+    index,
     store: LabelStore,
-    inv: list[set[int]] | None,
+    inv: list[set[int]],
     w: int,
     q: int,
     d: int,
     c: int,
     hub_canon: dict[int, int],
     forward: bool,
-    strategy: str,
+    clean,
     stats: UpdateStats,
 ) -> None:
     """Algorithm 7 (UPDATE-LABEL) with canonical-flag recomputation —
@@ -322,19 +311,18 @@ def _update_entry(
         if d < d_old:
             store.set_at(w, i, q, d, c, flag)
             stats.entries_updated += 1
-            if strategy == "minimality":
-                _clean_vertex(index, w, forward, stats)
+            if clean is not None:
+                clean(index, w, forward, stats)
         elif d == d_old:
             store.set_at(w, i, q, d, c_old + c, flag)
             stats.entries_updated += 1
         # d > d_old is impossible: the pruning query is bounded by d_old.
     else:
         store.insert_sorted(w, q, d, c, flag)
-        if inv is not None:
-            inv[q].add(w)
+        inv[q].add(w)
         stats.entries_added += 1
-        if strategy == "minimality":
-            _clean_vertex(index, w, forward, stats)
+        if clean is not None:
+            clean(index, w, forward, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -407,27 +395,23 @@ def _clean_vertex(
 # ---------------------------------------------------------------------------
 
 
-def deletion_affected_hubs(
-    index: CSCIndex,
+def hop_affected_hubs(
+    graph,
     a: int,
     b: int,
     forward_dists: dict[int, list[float]] | None = None,
     reverse_dists: dict[int, list[float]] | None = None,
 ) -> tuple[set[int], set[int]]:
-    """Affected hubs of deleting ``(a, b)``: the Section V-C distance
-    conditions, evaluated on the *current* graph (which must still
-    contain the edge).
+    """Section V-C's hop conditions for deleting ``(a, b)``, on a graph
+    that still holds the edge: ``(aff_in, aff_out)`` with
+    ``aff_in = {v : sd(v,a) + 1 = sd(v,b)}`` and
+    ``aff_out = {u : sd(b,u) + 1 = sd(a,u)}``.
 
-    Returns ``(aff_in, aff_out)`` as original-vertex sets: hubs whose
-    in-side (forward) respectively out-side (backward) labels need a
-    repair BFS once the edge is gone.
-
-    ``forward_dists`` / ``reverse_dists`` are optional per-source BFS
-    caches (``{source: bfs_distances(...)}``) for callers that evaluate
-    many deletions against one frozen graph — the batch engine's edges
+    ``forward_dists`` / ``reverse_dists`` are per-source BFS caches
+    (``{source: bfs_distances(...)}``) for callers that evaluate many
+    deletions against one frozen graph — the batch engine's edges
     often share endpoints, so the same BFS would otherwise rerun.
     """
-    graph = index.graph
 
     def _dist(source: int, reverse: bool) -> list[float]:
         cache = reverse_dists if reverse else forward_dists
@@ -454,13 +438,39 @@ def deletion_affected_hubs(
         for u in graph.vertices()
         if d_from_a[u] is not INF and d_from_b[u] + 1 == d_from_a[u]
     }
+    return aff_in, aff_out
+
+
+def deletion_affected_hubs(
+    index: CSCIndex,
+    a: int,
+    b: int,
+    forward_dists: dict[int, list[float]] | None = None,
+    reverse_dists: dict[int, list[float]] | None = None,
+) -> tuple[set[int], set[int]]:
+    """Affected hubs of deleting ``(a, b)`` from a CSC index: the hop
+    conditions of :func:`hop_affected_hubs` plus the cycle pair,
+    evaluated on the *current* graph (which must still contain the
+    edge).
+
+    Returns ``(aff_in, aff_out)`` as original-vertex sets: hubs whose
+    in-side (forward) respectively out-side (backward) labels need a
+    repair BFS once the edge is gone.  The caches are as for
+    :func:`hop_affected_hubs`.
+    """
+    if forward_dists is None:
+        forward_dists = {}
+    aff_in, aff_out = hop_affected_hubs(
+        index.graph, a, b, forward_dists, reverse_dists
+    )
     # The one Gb pair the hop conditions cannot see is the cycle pair
     # (a_out, a_in): its distance is the cycle length through `a`, not a
     # plain 2d-1 hop distance.  If the deleted edge lies on a shortest
     # cycle through `a`, hub a_in's cycle entry must be repaired too.
+    d_b_a = forward_dists[b][a]
     if (
-        d_from_b[a] is not INF
-        and index.cycle_gb_distance(a) == 2 * (d_from_b[a] + 1) - 1
+        d_b_a is not INF
+        and index.cycle_gb_distance(a) == 2 * (d_b_a + 1) - 1
     ):
         aff_out.add(a)
     return aff_in, aff_out
@@ -472,15 +482,18 @@ def delete_edge(index: CSCIndex, a: int, b: int) -> UpdateStats:
     Raises :class:`~repro.errors.EdgeNotFoundError` (before touching the
     index) if the edge is absent.
     """
-    graph = index.graph
-    if not graph.has_edge(a, b):
-        from repro.errors import EdgeNotFoundError
-
+    if not index.graph.has_edge(a, b):
         raise EdgeNotFoundError(a, b)
     # Pre-deletion hop BFSes give the affected-hub conditions exactly.
-    aff_in, aff_out = deletion_affected_hubs(index, a, b)
-    graph.remove_edge(a, b)
-    index.ensure_inverted()
+    return repair_deletion(index, a, b, *deletion_affected_hubs(index, a, b))
+
+
+def repair_deletion(
+    index, a: int, b: int, aff_in: set[int], aff_out: set[int]
+) -> UpdateStats:
+    """Remove ``(a, b)`` from the graph and repair every affected hub
+    side in descending rank order — DECCNT for both index kinds."""
+    index.graph.remove_edge(a, b)
     stats = UpdateStats("delete", (a, b))
     stats.details["affected_in_hubs"] = len(aff_in)
     stats.details["affected_out_hubs"] = len(aff_out)
@@ -494,39 +507,29 @@ def delete_edge(index: CSCIndex, a: int, b: int) -> UpdateStats:
     return stats
 
 
-def _repair_hub(
-    index: CSCIndex, h: int, forward: bool, stats: UpdateStats
-) -> list[int]:
-    """Re-run the construction BFS for hub ``h_in`` on the current graph and
+def _repair_hub(index, h: int, forward: bool, stats: UpdateStats) -> list[int]:
+    """Re-run the construction BFS for hub ``h`` on the current graph and
     replace the hub's label fingerprint (fresh upserts + stale removals),
     patching packed entries in place.  Returns the vertices whose stored
-    labels actually changed (the parallel repair committer's write set)."""
+    labels actually changed (the parallel repair committer's write set).
+
+    The BFS is :func:`repro.labeling.pruned_bfs.construct_side`'s, with
+    its pruning query probing the packed store's hub maps instead of
+    scanning tuple lists."""
     graph = index.graph
     pos = index.pos
     ph = pos[h]
     stats.repair_bfs_count += 1
-    inv_in, inv_out = index.ensure_inverted()
-    if forward:
-        target = index.store_in
-        inv = inv_in
-        neighbors = graph.out_neighbors
-        hub_dist = _canonical_shift_map(index.store_out, h, ph, 1)
-        rank_ok = lambda u: pos[u] > ph  # noqa: E731
-        seeds = [(h, 0, 1)]
-    else:
-        target = index.store_out
-        inv = inv_out
-        neighbors = graph.in_neighbors
-        hub_dist = _canonical_shift_map(index.store_in, h, ph, 0)
-        rank_ok = lambda u: pos[u] >= ph  # noqa: E731
-        seeds = [(u, 1, 1) for u in graph.in_neighbors(h) if pos[u] >= ph]
+    side = side_plan(index.KIND, forward, h, ph)
+    target, inv, hub_store, neighbors = _hub_sides(index, forward)
+    hub_items = list(_canonical_map(hub_store, h, ph, side.shift).items())
+    bound, prune_at, step = side.bound, side.prune_at, side.step
 
     target_maps = target.ensure_maps()
-    hub_items = list(hub_dist.items())
     dist: dict[int, int] = {}
     cnt: dict[int, int] = {}
     queue: deque[int] = deque()
-    for vertex, d0, c0 in seeds:
+    for vertex, d0, c0 in construction_seeds(side, graph, h, pos):
         dist[vertex] = d0
         cnt[vertex] = c0
         queue.append(vertex)
@@ -549,12 +552,12 @@ def _repair_hub(
         if d_via < d_w:
             continue
         fresh[w] = (d_w, cnt[w], d_via > d_w)
-        if not forward and w == h:
+        if w == prune_at:
             continue  # couple-cycle prune
-        d_next = d_w + 2
+        d_next = d_w + step
         c_w = cnt[w]
         for u in neighbors(w):
-            if rank_ok(u):
+            if pos[u] > bound:
                 d_u = dist.get(u)
                 if d_u is None:
                     dist[u] = d_next

@@ -15,10 +15,12 @@ Workers are (re)initialized with the post-deletion graph and then
 receive the *frozen pre-repair* label tables as two packed ``RPLS``
 blobs (the same one-memcpy-per-vertex container the build broadcasts
 use).  Each worker runs its share of ``(side, hub)`` repair tasks with
-the build's own delta kernels — :func:`_repair_hub`'s BFS and the
-kernels are the same algorithm, which the parallel-repair differential
-suite pins — and ships back, per task, the fresh fingerprint entries
-*and the list of vertices the BFS dequeued*.
+the construction kernel,
+:func:`~repro.labeling.pruned_bfs.construct_side` — the same BFS as the
+serial :func:`~repro.core.maintenance._repair_hub`, which the
+parallel-repair differential suite pins — and ships back, per task,
+the fresh fingerprint entries *and the list of vertices the BFS
+dequeued*.
 
 The conflict rule
 -----------------
@@ -100,7 +102,7 @@ def repair_hubs_parallel(
     # One pooled session at a time (shared pipes; see build.parallel).
     with _POOL_LOCK:
         pool = _get_pool(workers)
-        pool.init_build(graph, index.pos, "csc")
+        pool.init_build(graph, index.pos, index.KIND)
         pool.broadcast(("extend", rpls_in, rpls_out))
         results = pool.run_repairs(_chunk(tasks, pool.size))
 
@@ -112,7 +114,7 @@ def repair_hubs_parallel(
         stats.hubs_processed += 1
         h = order[p]
         if p in del_in:
-            entries, visited = results[(p, True)]
+            owners, entries, visited = results[(p, True)]
             if h in changed_out or not changed_in.isdisjoint(visited):
                 conflicts += 1
                 changed_in.update(
@@ -121,12 +123,12 @@ def repair_hubs_parallel(
             else:
                 stats.repair_bfs_count += 1
                 stats.vertices_visited += len(visited)
-                fresh = {w: (d, c, f) for w, d, c, f in entries}
+                fresh = {w: e[1:] for w, e in zip(owners, entries)}
                 changed_in.update(
                     _commit_fingerprint(store_in, inv_in, p, fresh, stats)
                 )
         if p in del_out:
-            entries, visited = results[(p, False)]
+            owners, entries, visited = results[(p, False)]
             if h in changed_in or not changed_out.isdisjoint(visited):
                 conflicts += 1
                 changed_out.update(
@@ -135,7 +137,7 @@ def repair_hubs_parallel(
             else:
                 stats.repair_bfs_count += 1
                 stats.vertices_visited += len(visited)
-                fresh = {w: (d, c, f) for w, d, c, f in entries}
+                fresh = {w: e[1:] for w, e in zip(owners, entries)}
                 changed_out.update(
                     _commit_fingerprint(store_out, inv_out, p, fresh, stats)
                 )

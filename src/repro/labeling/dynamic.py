@@ -17,71 +17,36 @@ the HP-SPC baseline enjoys the same update model as CSC:
   BFSes; each affected hub's label fingerprint is replaced by re-running
   the construction BFS (stale entries located through an inverted index).
 
-Unlike the CSC variant there is no couple structure and no cycle-pair
-special case — labels live on the original digraph with hop distances.
-As in :mod:`repro.core.maintenance`, the repair passes patch the packed
-label store in place and every pruning query is a merge-join over the
-store's maintained hub maps (iterate the fixed hub-side map, probe the
-visited vertex's map at C dict speed).
+Only the seeds and CLEAN-LABEL are HP-SPC's own.  The resumed pass, the
+repair BFS and the affected-hub hop conditions are the ones
+:mod:`repro.core.maintenance` runs for CSC: labels live on the original
+digraph with hop distances, so the index kind's
+:class:`~repro.labeling.pruned_bfs.Side` carries no couple shift, no
+couple prune and a level step of 1, and there is no cycle-pair case.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from repro.core.maintenance import (
+    UpdateStats,
+    _check_strategy,
+    hop_affected_hubs,
+    repair_deletion,
+    resume_passes,
+)
+from repro.errors import EdgeNotFoundError
+from repro.labeling.hpspc import HPSPCIndex
+from repro.labeling.labelstore import join_min_dist
 
-from repro.core.maintenance import STRATEGIES, UpdateStats
-from repro.errors import ConfigurationError, EdgeNotFoundError
-from repro.graph.traversal import INF, bfs_distances
-from repro.labeling.hpspc import HPSPCIndex, UNREACHED
-from repro.labeling.labelstore import HUB_SHIFT, LabelStore, join_min_dist
-
-__all__ = ["insert_edge", "delete_edge", "ensure_inverted"]
-
-
-def ensure_inverted(
-    index: HPSPCIndex,
-) -> tuple[list[set[int]], list[set[int]]]:
-    """Build (once) inverted indexes ``hub_pos -> labeled vertices`` for an
-    HP-SPC index; cached on the index object."""
-    inv = index._dyn_inverted
-    if inv is None:
-        n = index.graph.n
-        inv_in: list[set[int]] = [set() for _ in range(n)]
-        inv_out: list[set[int]] = [set() for _ in range(n)]
-        in_packed = index.store_in.packed
-        out_packed = index.store_out.packed
-        for w in range(n):
-            for e in in_packed[w]:
-                inv_in[e >> HUB_SHIFT].add(w)
-            for e in out_packed[w]:
-                inv_out[e >> HUB_SHIFT].add(w)
-        inv = (inv_in, inv_out)
-        index._dyn_inverted = inv
-    return inv
-
-
-def _canonical_map(
-    store: LabelStore, v: int, limit_hub: int
-) -> dict[int, int]:
-    """``{hub: dist}`` over ``v``'s canonical entries with ``hub <
-    limit_hub`` (strictly higher rank)."""
-    maps = store._maps or store.ensure_maps()
-    return {
-        h: dc[0] for h, dc in maps[v].items() if h < limit_hub and dc[2]
-    }
+__all__ = ["insert_edge", "delete_edge"]
 
 
 def insert_edge(
     index: HPSPCIndex, a: int, b: int, strategy: str = "redundancy"
 ) -> UpdateStats:
     """Insert edge ``(a, b)`` and incrementally maintain the HP-SPC index."""
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown strategy {strategy!r}; expected one of {STRATEGIES}"
-        )
+    _check_strategy(strategy)
     index.graph.add_edge(a, b)
-    ensure_inverted(index)
-    stats = UpdateStats("insert", (a, b), strategy)
     pos = index.pos
     pa, pb = pos[a], pos[b]
     maps_in = index.store_in.ensure_maps()
@@ -93,122 +58,9 @@ def insert_edge(
     backward_seeds = {
         q: (dc[0] + 1, dc[1]) for q, dc in maps_out[b].items() if q < pa
     }
-    for q in sorted(set(forward_seeds) | set(backward_seeds)):
-        stats.hubs_processed += 1
-        seed = forward_seeds.get(q)
-        if seed is not None:
-            _pass(index, q, b, seed[0], seed[1], True, strategy, stats)
-        seed = backward_seeds.get(q)
-        if seed is not None:
-            _pass(index, q, a, seed[0], seed[1], False, strategy, stats)
-    return stats
-
-
-def _pass(
-    index: HPSPCIndex,
-    q: int,
-    start: int,
-    d0: int,
-    c0: int,
-    forward: bool,
-    strategy: str,
-    stats: UpdateStats,
-) -> None:
-    """One resumed counting BFS from hub ``q`` (Algorithm 6, generic)."""
-    graph = index.graph
-    pos = index.pos
-    hub_vertex = index.order[q]
-    if forward:
-        store = index.store_in
-        side_store = index.store_out
-        neighbors = graph.out_neighbors
-    else:
-        store = index.store_out
-        side_store = index.store_in
-        neighbors = graph.in_neighbors
-    side_map = side_store.ensure_maps()[hub_vertex]
-    full_items = [(h, dc[0]) for h, dc in side_map.items()]
-    canon = {h: dc[0] for h, dc in side_map.items() if h < q and dc[2]}
-    inv = ensure_inverted(index)[0 if forward else 1]
-    target_maps = store.ensure_maps()
-
-    dist: dict[int, int] = {start: d0}
-    cnt: dict[int, int] = {start: c0}
-    queue: deque[int] = deque((start,))
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        stats.vertices_visited += 1
-        # Full-index pruning query: Lout(hub)'s hubs all rank at or above
-        # q, so probing w's map covers exactly the seed's <=q prefix scan.
-        d_query = UNREACHED
-        get = target_maps[w].get
-        for h2, od in full_items:
-            t = get(h2)
-            if t is not None:
-                d2 = od + t[0]
-                if d2 < d_query:
-                    d_query = d2
-        if d_w > d_query:
-            continue
-        _update_entry(
-            index, store, inv, w, q, d_w, cnt[w], canon, forward,
-            strategy, stats,
-        )
-        d_next = d_w + 1
-        c_w = cnt[w]
-        for u in neighbors(w):
-            if pos[u] > q:
-                d_u = dist.get(u)
-                if d_u is None:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                elif d_u == d_next:
-                    cnt[u] += c_w
-
-
-def _update_entry(
-    index: HPSPCIndex,
-    store: LabelStore,
-    inv: list[set[int]],
-    w: int,
-    q: int,
-    d: int,
-    c: int,
-    hub_canon: dict[int, int],
-    forward: bool,
-    strategy: str,
-    stats: UpdateStats,
-) -> None:
-    # Canonical distance via strictly higher canonical hubs (hub_canon's
-    # keys all rank above q by construction), for the flag.
-    d_canon = UNREACHED
-    get = (store._maps or store.ensure_maps())[w].get
-    for h2, od in hub_canon.items():
-        t = get(h2)
-        if t is not None and t[2]:
-            d2 = od + t[0]
-            if d2 < d_canon:
-                d_canon = d2
-    flag = d_canon > d
-    i = store.hub_index(w, q)
-    if i >= 0:
-        _q, d_old, c_old, _f_old = store.decode(w, i)
-        if d < d_old:
-            store.set_at(w, i, q, d, c, flag)
-            stats.entries_updated += 1
-            if strategy == "minimality":
-                _clean_vertex(index, w, forward, stats)
-        elif d == d_old:
-            store.set_at(w, i, q, d, c_old + c, flag)
-            stats.entries_updated += 1
-    else:
-        store.insert_sorted(w, q, d, c, flag)
-        inv[q].add(w)
-        stats.entries_added += 1
-        if strategy == "minimality":
-            _clean_vertex(index, w, forward, stats)
+    return resume_passes(
+        index, a, b, forward_seeds, backward_seeds, strategy, _clean_vertex
+    )
 
 
 def _query_pair(index: HPSPCIndex, s: int, t: int) -> int:
@@ -222,7 +74,7 @@ def _clean_vertex(
     index: HPSPCIndex, w: int, forward: bool, stats: UpdateStats
 ) -> None:
     """Algorithm 8 on the generic index."""
-    inv_in, inv_out = ensure_inverted(index)
+    inv_in, inv_out = index.ensure_inverted()
     order = index.order
     if forward:
         store = index.store_in
@@ -276,107 +128,6 @@ def _clean_vertex(
 
 def delete_edge(index: HPSPCIndex, a: int, b: int) -> UpdateStats:
     """Delete edge ``(a, b)`` and repair the HP-SPC index."""
-    graph = index.graph
-    if not graph.has_edge(a, b):
+    if not index.graph.has_edge(a, b):
         raise EdgeNotFoundError(a, b)
-    d_to_a = bfs_distances(graph, a, reverse=True)
-    d_to_b = bfs_distances(graph, b, reverse=True)
-    d_from_a = bfs_distances(graph, a)
-    d_from_b = bfs_distances(graph, b)
-    graph.remove_edge(a, b)
-    aff_in = {
-        v
-        for v in graph.vertices()
-        if d_to_b[v] is not INF and d_to_a[v] + 1 == d_to_b[v]
-    }
-    aff_out = {
-        u
-        for u in graph.vertices()
-        if d_from_a[u] is not INF and d_from_b[u] + 1 == d_from_a[u]
-    }
-    ensure_inverted(index)
-    stats = UpdateStats("delete", (a, b))
-    stats.details["affected_in_hubs"] = len(aff_in)
-    stats.details["affected_out_hubs"] = len(aff_out)
-    pos = index.pos
-    for h in sorted(aff_in | aff_out, key=lambda v: pos[v]):
-        stats.hubs_processed += 1
-        if h in aff_in:
-            _repair_hub(index, h, True, stats)
-        if h in aff_out:
-            _repair_hub(index, h, False, stats)
-    return stats
-
-
-def _repair_hub(
-    index: HPSPCIndex, h: int, forward: bool, stats: UpdateStats
-) -> None:
-    """Re-run the construction BFS for hub ``h`` and replace its
-    fingerprint (fresh upserts + inverted-index stale removal)."""
-    graph = index.graph
-    pos = index.pos
-    ph = pos[h]
-    inv_in, inv_out = ensure_inverted(index)
-    if forward:
-        target = index.store_in
-        inv = inv_in
-        neighbors = graph.out_neighbors
-        hub_dist = _canonical_map(index.store_out, h, ph)
-    else:
-        target = index.store_out
-        inv = inv_out
-        neighbors = graph.in_neighbors
-        hub_dist = _canonical_map(index.store_in, h, ph)
-    target_maps = target.ensure_maps()
-    hub_items = list(hub_dist.items())
-
-    dist: dict[int, int] = {h: 0}
-    cnt: dict[int, int] = {h: 1}
-    queue: deque[int] = deque((h,))
-    fresh: dict[int, tuple[int, int, bool]] = {}
-    while queue:
-        w = queue.popleft()
-        d_w = dist[w]
-        stats.vertices_visited += 1
-        # Canonical pruning query, flipped into a join over the hub-side
-        # canonical map (do not shadow the hub argument ``h``).
-        d_via = UNREACHED
-        get = target_maps[w].get
-        for h2, hd in hub_items:
-            t = get(h2)
-            if t is not None and t[2]:
-                d2 = hd + t[0]
-                if d2 < d_via:
-                    d_via = d2
-        if d_via < d_w:
-            continue
-        fresh[w] = (d_w, cnt[w], d_via > d_w)
-        d_next = d_w + 1
-        c_w = cnt[w]
-        for u in neighbors(w):
-            if pos[u] > ph:
-                d_u = dist.get(u)
-                if d_u is None:
-                    dist[u] = d_next
-                    cnt[u] = c_w
-                    queue.append(u)
-                elif d_u == d_next:
-                    cnt[u] += c_w
-
-    stale = inv[ph] - fresh.keys()
-    for w, (d, c, flag) in fresh.items():
-        i = target.hub_index(w, ph)
-        if i >= 0:
-            if target.decode(w, i)[1:] != (d, c, flag):
-                target.set_at(w, i, ph, d, c, flag)
-                stats.entries_updated += 1
-        else:
-            target.insert_sorted(w, ph, d, c, flag)
-            inv[ph].add(w)
-            stats.entries_added += 1
-    for w in stale:
-        i = target.hub_index(w, ph)
-        if i >= 0:
-            target.delete_at(w, i)
-            stats.entries_removed += 1
-        inv[ph].discard(w)
+    return repair_deletion(index, a, b, *hop_affected_hubs(index.graph, a, b))

@@ -391,6 +391,15 @@ class LabelStore:
         i = self.hub_index(v, hub)
         return self.decode(v, i) if i >= 0 else None
 
+    def inverted(self) -> list[set[int]]:
+        """The inverted index ``hub_pos -> {v : v has an entry of that
+        hub}`` (Algorithm 8's), one set per hub position."""
+        inv: list[set[int]] = [set() for _ in range(len(self.packed))]
+        for v, words in enumerate(self.packed):
+            for e in words:
+                inv[e >> HUB_SHIFT].add(v)
+        return inv
+
     # ------------------------------------------------------------------
     # Join maps (query accelerator)
     # ------------------------------------------------------------------

@@ -10,16 +10,12 @@ from repro.build import (
     resolve_workers,
     shutdown_pool,
 )
-from repro.build.worker import (
-    extend_tables_from_rpls,
-    kernel_for,
-    side_kernels,
-    tables_to_rpls,
-)
+from repro.build.worker import extend_tables_from_rpls, tables_to_rpls
 from repro.core.csc import CSCIndex
 from repro.errors import BuildError, WorkerCrashError
 from repro.labeling.hpspc import HPSPCIndex
 from repro.labeling.ordering import degree_order, positions
+from repro.labeling.pruned_bfs import side_plan
 from tests.conftest import random_digraph
 
 
@@ -70,11 +66,13 @@ class TestResolveWorkers:
 
 
 class TestKernels:
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, graph):
+        order = degree_order(graph)
         with pytest.raises(ValueError, match="unknown index kind"):
-            kernel_for("prefix-tree")
+            side_plan("prefix-tree", True, order[0], 0)
         with pytest.raises(ValueError, match="unknown index kind"):
-            side_kernels("prefix-tree")
+            build_label_tables(graph, order, positions(order),
+                               "prefix-tree", workers=1)
 
     def test_rpls_roundtrip_preserves_sparse_tables(self):
         tables = [[], [(0, 2, 3, True)], [], [(1, 4, 1, False)], []]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from repro.graph.digraph import DiGraph
 from repro.graph.traversal import INF, count_shortest_paths
-from repro.labeling.dynamic import delete_edge, ensure_inverted, insert_edge
+from repro.labeling.dynamic import delete_edge, insert_edge
 from repro.labeling.hpspc import HPSPCIndex
 from tests.conftest import digraphs, random_digraph
 
@@ -142,6 +142,34 @@ class TestDeletion:
                 (q, d, c) for q, d, c, _ in rebuilt.label_out[v]
             ]
 
+    def test_repair_bfs_count_is_repaired_sides(self):
+        """One repair BFS per affected hub side, as CSC counts them."""
+        from repro.core import maintenance
+        from repro.core.csc import CSCIndex
+        from repro.graph.generators import gnm_random
+
+        g = gnm_random(30, 90, seed=5)
+        stats = delete_edge(HPSPCIndex.build(g.copy()), 0, 23)
+        sides = (
+            stats.details["affected_in_hubs"]
+            + stats.details["affected_out_hubs"]
+        )
+        assert stats.repair_bfs_count == sides == 27
+        csc = maintenance.delete_edge(CSCIndex.build(g.copy()), 0, 23)
+        assert csc.repair_bfs_count == stats.repair_bfs_count
+
+    @given(g=digraphs(max_n=8), pick=st.integers(0, 10**6))
+    @settings(max_examples=25, deadline=None)
+    def test_repair_bfs_count_matches_sides(self, g, pick):
+        edges = list(g.edges())
+        if not edges:
+            return
+        stats = delete_edge(HPSPCIndex.build(g), *edges[pick % len(edges)])
+        assert stats.repair_bfs_count == (
+            stats.details["affected_in_hubs"]
+            + stats.details["affected_out_hubs"]
+        )
+
 
 class TestMixedSequences:
     @settings(max_examples=30, deadline=None)
@@ -195,9 +223,9 @@ class TestInvertedIndex:
     def test_built_once_and_consistent(self):
         g = random_digraph(8, 16, seed=9)
         idx = HPSPCIndex.build(g)
-        inv1 = ensure_inverted(idx)
-        inv2 = ensure_inverted(idx)
-        assert inv1 is inv2
+        inv1 = idx.ensure_inverted()
+        inv2 = idx.ensure_inverted()
+        assert inv1[0] is inv2[0] and inv1[1] is inv2[1]
         inv_in, inv_out = inv1
         for v in g.vertices():
             for q, *_ in idx.label_in[v]:
