@@ -7,11 +7,11 @@ and its conflict redo run the same kernel against the authoritative
 tables (:mod:`repro.build.parallel`), so a speculative result and its
 redo come from one code path.  The kernel returns the entries the hub
 would append and their owning vertices, in append (BFS-dequeue) order,
-together with the vertices the BFS visited.  That visited list *is* the side's label read set — every
-pruning query probes exactly the dequeued vertex's labels — which is
-what the repair committer (:mod:`repro.core.parallel_repair`)
-intersects against committed changes to decide whether a speculative
-repair is still valid.
+together with the vertices the BFS visited.  That visited list *is*
+the side's label read set — every pruning query probes exactly the
+dequeued vertex's labels — which is what the repair committer
+(:mod:`repro.core.parallel_repair`) intersects against committed
+changes to decide whether a speculative repair is still valid.
 
 Every pruning decision the BFS takes joins ``hub_dist`` — the
 *canonical* hub-side entries of the hub vertex, whose ranks all lie

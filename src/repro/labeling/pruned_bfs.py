@@ -50,10 +50,8 @@ KINDS = ("csc", "hpspc")
 
 
 class Side(NamedTuple):
-    """One BFS side of one hub, as data."""
+    """What one BFS side of one hub changes between index kinds."""
 
-    #: walks out-edges and writes in-labels (backward: the mirror image)
-    forward: bool
     #: a neighbour ``u`` joins the BFS only if ``pos[u] > bound``
     bound: int
     #: vertex whose entry is recorded but not expanded (-1: none)
@@ -77,10 +75,10 @@ def side_plan(kind: str, forward: bool, h: int, ph: int) -> Side:
     """The :class:`Side` of hub ``h`` (rank ``ph``) for an index kind."""
     check_kind(kind)
     if kind == "hpspc":
-        return Side(forward, ph, -1, 0, 1)
+        return Side(ph, -1, 0, 1)
     if forward:
-        return Side(True, ph, -1, 1, 2)
-    return Side(False, ph - 1, h, 0, 2)
+        return Side(ph, -1, 1, 2)
+    return Side(ph - 1, h, 0, 2)
 
 
 def construction_seeds(

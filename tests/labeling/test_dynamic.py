@@ -158,18 +158,6 @@ class TestDeletion:
         csc = maintenance.delete_edge(CSCIndex.build(g.copy()), 0, 23)
         assert csc.repair_bfs_count == stats.repair_bfs_count
 
-    @given(g=digraphs(max_n=8), pick=st.integers(0, 10**6))
-    @settings(max_examples=25, deadline=None)
-    def test_repair_bfs_count_matches_sides(self, g, pick):
-        edges = list(g.edges())
-        if not edges:
-            return
-        stats = delete_edge(HPSPCIndex.build(g), *edges[pick % len(edges)])
-        assert stats.repair_bfs_count == (
-            stats.details["affected_in_hubs"]
-            + stats.details["affected_out_hubs"]
-        )
-
 
 class TestMixedSequences:
     @settings(max_examples=30, deadline=None)
