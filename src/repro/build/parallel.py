@@ -63,7 +63,11 @@ from repro.build.waves import WavePlan, plan_waves
 from repro.build.worker import HubDelta, SideDelta, tables_to_rpls, worker_main
 from repro.errors import ConfigurationError, BuildError, WorkerCrashError
 from repro.labeling.labelstore import UNREACHED
-from repro.labeling.pruned_bfs import check_kind, construct_side
+from repro.labeling.pruned_bfs import (
+    check_kind,
+    construct_side,
+    side_delta,
+)
 
 __all__ = [
     "ENV_WORKERS",
@@ -374,18 +378,23 @@ def build_label_tables(
     dist = [UNREACHED] * n
     cnt = [0] * n
 
-    def run(forward: bool, h: int, p: int) -> SideDelta:
-        owners, entries, _ = construct_side(graph, pos, kind, forward, h, p,
-                                            label_in, label_out, dist, cnt)
-        return owners, entries
-
     for p in range(plan.serial_prefix):
         h = order[p]
-        for forward, tables in ((True, label_in), (False, label_out)):
-            for w, entry in zip(*run(forward, h, p)):
-                tables[w].append(entry)
+        construct_side(graph, pos, kind, True, h, p, label_in, label_out,
+                       label_in, dist, cnt)
+        construct_side(graph, pos, kind, False, h, p, label_in, label_out,
+                       label_out, dist, cnt)
 
     if plan.waves:
+        scratch: list[list[Entry]] = [[] for _ in range(n)]
+
+        def redo(forward: bool, h: int, p: int) -> SideDelta:
+            owners, entries, _ = side_delta(
+                graph, pos, kind, forward, h, p, label_in, label_out,
+                scratch, dist, cnt,
+            )
+            return owners, entries
+
         # The first broadcast ships the whole serial prefix; later ones
         # only what the previous wave committed.
         delta_in, delta_out = label_in, label_out
@@ -417,11 +426,11 @@ def build_label_tables(
                     bwd_ok = h not in canon_in
                     if not fwd_ok:
                         stats.conflicts += 1
-                        fwd_e = run(True, h, p)
+                        fwd_e = redo(True, h, p)
                     _commit(label_in, delta_in, canon_in, fwd_e)
                     if not bwd_ok:
                         stats.conflicts += 1
-                        bwd_e = run(False, h, p)
+                        bwd_e = redo(False, h, p)
                     _commit(label_out, delta_out, canon_out, bwd_e)
 
     stats.entries = (

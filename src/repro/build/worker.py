@@ -1,7 +1,8 @@
 """The build worker process and its label hand-off helpers.
 
 Workers run the one construction kernel,
-:func:`repro.labeling.pruned_bfs.construct_side`, against their
+:func:`repro.labeling.pruned_bfs.construct_side` (through
+:func:`~repro.labeling.pruned_bfs.side_delta`), against their
 broadcast copy of the frozen label prefix.  The master's serial prefix
 and its conflict redo run the same kernel against the authoritative
 tables (:mod:`repro.build.parallel`), so a speculative result and its
@@ -65,7 +66,7 @@ import traceback
 
 from repro.errors import ConfigurationError
 from repro.labeling.labelstore import UNREACHED, LabelStore
-from repro.labeling.pruned_bfs import check_kind, construct_side
+from repro.labeling.pruned_bfs import check_kind, side_delta
 
 __all__ = [
     "HubDelta",
@@ -134,6 +135,7 @@ def worker_main(conn) -> None:
     kind = ""
     label_in: list[list[Entry]] = []
     label_out: list[list[Entry]] = []
+    scratch: list[list[Entry]] = []
     dist: list[int] = []
     cnt: list[int] = []
     qindex = None  # bulk-query replica, built by "qinit"
@@ -150,6 +152,7 @@ def worker_main(conn) -> None:
                 n = graph.n
                 label_in = [[] for _ in range(n)]
                 label_out = [[] for _ in range(n)]
+                scratch = [[] for _ in range(n)]
                 dist = [UNREACHED] * n
                 cnt = [0] * n
                 # The ack doubles as a pipe resync point: the master
@@ -162,17 +165,17 @@ def worker_main(conn) -> None:
             elif tag == "run":
                 results: list[tuple[int, HubDelta]] = []
                 for ph, h in msg[1]:
-                    fwd = construct_side(graph, pos, kind, True, h, ph,
-                                         label_in, label_out, dist, cnt)
-                    bwd = construct_side(graph, pos, kind, False, h, ph,
-                                         label_in, label_out, dist, cnt)
+                    fwd = side_delta(graph, pos, kind, True, h, ph, label_in,
+                                     label_out, scratch, dist, cnt)
+                    bwd = side_delta(graph, pos, kind, False, h, ph, label_in,
+                                     label_out, scratch, dist, cnt)
                     results.append((ph, (fwd[:2], bwd[:2])))
                 conn.send(("result", results))
             elif tag == "repair":
                 repairs = [
-                    (ph, forward, construct_side(
+                    (ph, forward, side_delta(
                         graph, pos, kind, forward, h, ph,
-                        label_in, label_out, dist, cnt,
+                        label_in, label_out, scratch, dist, cnt,
                     ))
                     for forward, ph, h in msg[1]
                 ]

@@ -15,14 +15,15 @@ which changes only data, never control flow:
   (rule (4) of Section IV-C).
 
 :func:`side_plan` turns (index kind, direction, hub) into that data as a
-:class:`Side`; :func:`construct_side` is the one construction loop.  It
-runs against a frozen table state and returns the entries the hub would
+:class:`Side`; :func:`construct_side` is the one construction loop.  The
+serial build runs it with in-place appends; :func:`side_delta` runs it
+against a frozen table state and returns the entries the hub would
 append and their owning vertices, in append (BFS-dequeue) order, plus
-the vertices it visited — the side's label read set.  The serial build,
-the pool workers, the master's conflict redo and the workers' DECCNT
-repairs all call it (:mod:`repro.build.parallel`).  The DECCNT repair
-BFS and the INCCNT resumed pass (:mod:`repro.core.maintenance`) take
-the same :class:`Side`.
+the vertices it visited — the side's label read set — for the pool
+workers, the master's conflict redo and the workers' DECCNT repairs
+(:mod:`repro.build.parallel`).  The DECCNT repair BFS and the INCCNT
+resumed pass (:mod:`repro.core.maintenance`) take the same
+:class:`Side`.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ __all__ = [
     "check_kind",
     "construct_side",
     "construction_seeds",
+    "side_delta",
     "side_plan",
 ]
 
@@ -101,19 +103,19 @@ def construct_side(
     ph: int,
     label_in: list[list[Entry]],
     label_out: list[list[Entry]],
+    out: list[list[Entry]],
     dist: list[int],
     cnt: list[int],
-) -> tuple[list[int], list[Entry], list[int]]:
+) -> list[int]:
     """One side of hub ``h``'s pruned counting BFS (Algorithm 3 lines
-    9–26) against frozen tuple-list tables.
+    9–26): appends each new ``(ph, dist, count, canonical)`` entry to
+    ``out[w]`` and returns every vertex the BFS queued.
 
-    Returns ``(owners, entries, visited)``: ``entries[i]`` is the
-    ``(ph, dist, count, canonical)`` entry the hub appends to
-    ``owners[i]``'s labels, in append order, and ``visited`` is every
-    vertex the BFS queued.  The entry tuples are the ones the tables
-    keep, so a build allocates each entry once.  ``dist``/``cnt`` are
-    per-vertex scratch arrays, all ``UNREACHED``/0 on entry and
-    restored on return.
+    The pruning queries read ``label_in``/``label_out`` at ranks below
+    ``ph`` only, so ``out`` may be the side's own target table (the
+    serial build appends in place).  ``dist``/``cnt`` are per-vertex
+    scratch arrays, all ``UNREACHED``/0 on entry and restored on
+    return.
     """
     side = side_plan(kind, forward, h, ph)
     if forward:
@@ -139,8 +141,6 @@ def construct_side(
         cnt[u] = c0
         queue.append(u)
         visited.append(u)
-    owners: list[int] = []
-    entries: list[Entry] = []
     while queue:
         w = queue.popleft()
         d_w = dist[w]
@@ -156,8 +156,7 @@ def construct_side(
                     d_via = hd + dq
         if d_via < d_w:
             continue  # h is not highest-ranked on any shortest h..w path
-        owners.append(w)
-        entries.append((ph, d_w, cnt[w], d_via > d_w))
+        out[w].append((ph, d_w, cnt[w], d_via > d_w))
         if w == prune_at:
             continue  # couple-cycle: cycle entry recorded, prune
         d_next = d_w + step
@@ -174,4 +173,29 @@ def construct_side(
     for w in visited:
         dist[w] = UNREACHED
         cnt[w] = 0
-    return owners, entries, visited
+    return visited
+
+
+def side_delta(
+    graph,
+    pos: list[int],
+    kind: str,
+    forward: bool,
+    h: int,
+    ph: int,
+    label_in: list[list[Entry]],
+    label_out: list[list[Entry]],
+    scratch: list[list[Entry]],
+    dist: list[int],
+    cnt: list[int],
+) -> tuple[list[int], list[Entry], list[int]]:
+    """:func:`construct_side` against frozen tables: ``(owners, entries,
+    visited)``, where ``entries[i]`` is the entry the hub would append
+    to ``owners[i]``'s labels, in append order.  ``scratch`` is a table
+    of empty lists, left empty on return."""
+    visited = construct_side(graph, pos, kind, forward, h, ph, label_in,
+                             label_out, scratch, dist, cnt)
+    # A vertex gets at most one entry per side, and BFS dequeue order
+    # is its queueing order.
+    owners = [w for w in visited if scratch[w]]
+    return owners, [scratch[w].pop() for w in owners], visited
